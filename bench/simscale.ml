@@ -8,11 +8,11 @@
       shared mid-size instance must produce structurally equal outcomes
       (rounds, completion, informed count, collisions, frontier history),
       and the CSR outcome must not depend on the job count.
-   2. Alloc: once the network is saturated, a CSR flood step at jobs=1
-      allocates zero minor words (budgeted a constant few words for the
-      [Gc.minor_words] float boxing of the probe itself) — the
-      steady-state claim the acceptance gate names. The legacy scratch
-      path is held to the same budget.
+   2. Alloc: once the network is saturated, a CSR flood step and a CSR
+      Decay step at jobs=1 each allocate zero minor words (budgeted a
+      constant few words for the [Gc.minor_words] float boxing of the
+      probe itself) — the steady-state claim the acceptance gate names.
+      The legacy scratch path is held to the same budget.
    3. Throughput: steady-state flood rounds on the fully-informed network
       (all n seeded via [inform] — the saturated regime both engines
       reach under sustained broadcast), legacy scatter vs CSR gather,
@@ -141,6 +141,13 @@ let run ~quick =
   check "simscale: csr steady-state step allocates zero minor words"
     ~instance:(Printf.sprintf "%d saturated flood steps, jobs=1" alloc_steps)
     ~predicted:0.0 ~measured:dw_csr (dw_csr < alloc_budget);
+  (* Decay on the same saturated network: one Rng coin per vertex per
+     step, still inside the zero-alloc budget. *)
+  let std, rd = saturated_csr ~jobs:1 in
+  let dw_decay = measure_steady_alloc (fun () -> ignore (Sim_csr.step std Sim_csr.decay rd)) in
+  check "simscale: csr steady-state decay step allocates zero minor words"
+    ~instance:(Printf.sprintf "%d saturated decay steps, jobs=1" alloc_steps)
+    ~predicted:0.0 ~measured:dw_decay (dw_decay < alloc_budget);
   let net = Network.create g 0 in
   for v = 0 to n - 1 do
     Network.inform net v

@@ -10,6 +10,13 @@
 val phase_length : int -> int
 (** [⌈log₂ n⌉ + 1] for an n-vertex network. *)
 
+val coin : Wx_util.Rng.t -> int -> bool
+(** [coin rng slot] is the transmit decision of a vertex in phase slot
+    [slot] ([>= 0]): true with probability [2^-slot]. It answers and draws
+    exactly as [Rng.bernoulli rng (1. /. float_of_int (1 lsl slot))], with
+    integer arithmetic ({!Wx_util.Rng.bernoulli_pow2}) for slots up to 52.
+    Both engines' Decay protocols flip it. *)
+
 val protocol : Protocol.t
 
 val with_phase_length : int -> Protocol.t

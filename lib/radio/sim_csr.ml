@@ -22,8 +22,8 @@
    Allocation: all per-vertex state lives in preallocated Bytes/int
    arrays, the scan is a pair of top-level tail-recursive loops with int
    accumulators, and per-round results are packed into immediate ints —
-   at jobs = 1 a steady-state flood step allocates zero minor words (the
-   SIMSCALE bench asserts this under Memgc). *)
+   at jobs = 1 a steady-state flood or Decay step allocates zero minor
+   words (the SIMSCALE bench asserts both under Memgc). *)
 
 module Csr = Wx_graph.Csr
 module Rng = Wx_util.Rng
@@ -166,44 +166,34 @@ let m_transmit_decisions = Metrics.counter "radio.decay.transmit_decisions"
 
 let flood = { name = "flood"; fill = (fun t _rng -> Bytes.blit t.informed 0 t.transmit 0 t.n) }
 
-let decay_fill k_opt t rng =
+(* One Decay fill: every informed vertex flips [Decay_protocol.coin] for
+   its slot in the phase, counted from the round it was informed, or from
+   round 0 for every vertex when [global]. The counters are summed in
+   locals and published once per fill. *)
+let decay_fill ~global k_opt t rng =
   let k = match k_opt with Some k -> k | None -> Decay_protocol.phase_length t.n in
   let round = t.round in
   let informed = t.informed and transmit = t.transmit and since = t.since in
+  let flips = ref 0 and tx = ref 0 in
   for v = 0 to t.n - 1 do
     if Bytes.unsafe_get informed v = '\001' then begin
-      let slot = (round - Array.unsafe_get since v) mod k in
-      let p = 1.0 /. float_of_int (1 lsl slot) in
-      Metrics.incr m_coin_flips;
-      if Rng.bernoulli rng p then begin
-        Metrics.incr m_transmit_decisions;
+      let t0 = if global then 0 else Array.unsafe_get since v in
+      incr flips;
+      if Decay_protocol.coin rng ((round - t0) mod k) then begin
+        incr tx;
         Bytes.unsafe_set transmit v '\001'
       end
     end
-  done
+  done;
+  Metrics.add m_coin_flips !flips;
+  Metrics.add m_transmit_decisions !tx
 
-let decay = { name = "decay"; fill = decay_fill None }
-let decay_with_phase_length k = { name = Printf.sprintf "decay-k%d" k; fill = decay_fill (Some k) }
+let decay = { name = "decay"; fill = decay_fill ~global:false None }
 
-let decay_globally_phased =
-  {
-    name = "decay-global";
-    fill =
-      (fun t rng ->
-        let k = Decay_protocol.phase_length t.n in
-        let slot = t.round mod k in
-        let p = 1.0 /. float_of_int (1 lsl slot) in
-        let informed = t.informed and transmit = t.transmit in
-        for v = 0 to t.n - 1 do
-          if Bytes.unsafe_get informed v = '\001' then begin
-            Metrics.incr m_coin_flips;
-            if Rng.bernoulli rng p then begin
-              Metrics.incr m_transmit_decisions;
-              Bytes.unsafe_set transmit v '\001'
-            end
-          end
-        done);
-  }
+let decay_with_phase_length k =
+  { name = Printf.sprintf "decay-k%d" k; fill = decay_fill ~global:false (Some k) }
+
+let decay_globally_phased = { name = "decay-global"; fill = decay_fill ~global:true None }
 
 let uniform p =
   if not (p >= 0.0 && p <= 1.0) then invalid_arg "Sim_csr.uniform: p out of range";

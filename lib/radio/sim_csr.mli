@@ -19,10 +19,11 @@
 
     {2 Cost}
 
-    A steady-state [step] at [jobs = 1] allocates zero minor words (flood;
-    randomized protocols pay only the Rng's boxed draws), and a saturated
-    network costs O(1) per vertex per round instead of the legacy scatter's
-    O(m). Hot loops credit {!Wx_obs.Work.vertex_scans} and
+    A steady-state [step] at [jobs = 1] allocates zero minor words, for
+    flood and Decay alike: the Rng draws without boxing, and Decay's coin
+    ({!Decay_protocol.coin}) is an integer compare for phase slots up to
+    52. A saturated network costs O(1) per vertex per round instead of the
+    legacy scatter's O(m). Hot loops credit {!Wx_obs.Work.vertex_scans} and
     {!Wx_obs.Work.radio_rounds}. *)
 
 type t

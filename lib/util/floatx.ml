@@ -1,9 +1,13 @@
 let log2 x = log x /. log 2.0
 
+(* Top level rather than a local closure over [n], so the phase-length
+   computation in every Decay round allocates nothing. *)
+let rec log2i_floor_from n k acc =
+  if acc * 2 > n || acc > max_int / 2 then k else log2i_floor_from n (k + 1) (acc * 2)
+
 let log2i_floor n =
   if n < 1 then invalid_arg "Floatx.log2i_floor";
-  let rec go k acc = if acc * 2 > n || acc > max_int / 2 then k else go (k + 1) (acc * 2) in
-  go 0 1
+  log2i_floor_from n 0 1
 
 let log2i_ceil n =
   if n < 1 then invalid_arg "Floatx.log2i_ceil";

@@ -4,9 +4,14 @@
     is no hidden global state, so every experiment in [EXPERIMENTS.md] is
     reproducible from its printed seed.
 
-    The core generator is xoshiro256** (Blackman & Vigna) implemented on
-    [int64]; seeding and splitting use splitmix64, the recommended companion
-    seeding generator. *)
+    The core generator is xoshiro256** (Blackman & Vigna); seeding and
+    splitting use splitmix64, the recommended companion seeding generator.
+    The four 64-bit state words live in one 32-byte buffer that each step
+    reads and rewrites in place as unboxed integers, so no draw allocates
+    for its state: [bits], [int], [int_in], [bool], [bernoulli],
+    [bernoulli_pow2] and [geometric] cost zero minor words. Only results
+    typed [int64] or [float] are boxed ({!int64} always; {!float} when the
+    call is not inlined). *)
 
 type t
 (** Mutable generator state. *)
@@ -46,6 +51,13 @@ val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] (clamped to [0,1]). *)
+
+val bernoulli_pow2 : t -> int -> bool
+(** [bernoulli_pow2 t k] is [true] with probability [2^-k], for
+    [0 <= k <= 52] (raises [Invalid_argument] otherwise). It answers and
+    advances the stream exactly as [bernoulli t (1. /. 2^k)] does — [k = 0]
+    draws nothing, any other [k] one 53-bit value — but compares integers,
+    with no float arithmetic. The Decay protocols' coin. *)
 
 val geometric : t -> float -> int
 (** [geometric t p] is the number of failures before the first success in

@@ -23,13 +23,16 @@ baseline=bench/baseline.json
 # pool scheduler, the work-unit taxonomy, the radio simulator whose
 # rounds are a counted work kind, and the exposition server (its scrape
 # handling shares the registry the counted runs publish into, so a change
-# there can shift the instrumented-path cost the baseline certifies).
+# there can shift the instrumented-path cost the baseline certifies), and
+# the Rng and the Decay coin, whose draws set the radio and sampling
+# experiments' minor-word counts.
 watched=(lib/expansion lib/util/combi.ml lib/util/combi.mli
          lib/util/bitset.ml lib/util/bitset.mli
          lib/util/guard.ml lib/util/guard.mli bench/*.ml
          lib/par lib/obs/work.ml lib/obs/work.mli lib/radio/sim.ml
          lib/graph/csr.ml lib/radio/sim_csr.ml lib/radio/network.ml
-         lib/obs/expose.ml)
+         lib/obs/expose.ml lib/util/rng.ml lib/util/rng.mli
+         lib/radio/decay_protocol.ml)
 
 if [ ! -f "$baseline" ]; then
   echo "error: $baseline missing" >&2

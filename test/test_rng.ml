@@ -186,8 +186,105 @@ let test_pick () =
     check_true "member" (Array.mem (Rng.pick r arr) arr)
   done
 
+(* ---- known answers ----
+
+   A fixed script of every draw function, run from five seeds. The literal
+   outputs were recorded from the original four-record-field
+   implementation, so any change to the state layout or the draw
+   arithmetic that moves a single bit of any stream fails here. Floats are
+   printed in hex ([%h]), which is exact. *)
+
+let script r =
+  let i64 () = Printf.sprintf "%Lx" (Rng.int64 r) in
+  let coins f = String.init 8 (fun _ -> if f () then '1' else '0') in
+  let ints f = String.concat "," (List.init 3 (fun _ -> string_of_int (f ()))) in
+  let flt () = Printf.sprintf "%h" (Rng.float r) in
+  let a = i64 () in
+  let b = i64 () in
+  let c = string_of_int (Rng.bits r) in
+  let d = flt () in
+  let e = flt () in
+  let f = coins (fun () -> Rng.bool r) in
+  let g = ints (fun () -> Rng.int r 1000) in
+  let h = ints (fun () -> Rng.int r max_int) in
+  let i = ints (fun () -> Rng.int_in r (-5) 5) in
+  let j = coins (fun () -> Rng.bernoulli r 0.3) in
+  let k = ints (fun () -> Rng.geometric r 0.25) in
+  let l = ints (fun () -> Rng.geometric r 0.01) in
+  let child = Rng.split r in
+  let m = Printf.sprintf "%Lx" (Rng.int64 child) in
+  let n = i64 () in
+  let dup = Rng.copy r in
+  let o = Printf.sprintf "%Lx" (Rng.int64 dup) in
+  let p = i64 () in
+  [ a; b; c; d; e; f; g; h; i; j; k; l; m; n; o; p ]
+
+let golden =
+  [
+    ( 0,
+      [ "99ec5f36cb75f2b4"; "bf6e1f784956452a"; "475095844711627192"; "0x1.aa9653c498b4ap-2"; "0x1.774b5a943f085p-1"; "00111010"; "559,295,182"; "3248637607068178843,870162139428209060,2535418690269257315"; "-2,1,-3"; "00000000"; "0,1,4"; "17,315,317"; "26bf08ee272389f3"; "3cdebc44a5bc1936"; "6833bafa723c2dbd"; "6833bafa723c2dbd" ] );
+    ( 1,
+      [ "b3f2af6d0fc710c5"; "853b559647364cea"; "2647595229880422725"; "0x1.90b871ef099a8p-2"; "0x1.64f491c534466p-1"; "00110101"; "893,797,937"; "371037552993509153,2265997745918332427,211308232107153520"; "3,2,4"; "00010000"; "0,7,1"; "49,104,26"; "a2a5d79a0f5df0c2"; "6251a2af7751c1a7"; "781971381bb381a9"; "781971381bb381a9" ] );
+    ( 20180218,
+      [ "a38ad7dd89df28aa"; "aeaa24ab1f79633b"; "1922024148123397694"; "0x1.9545e310a3b63p-1"; "0x1.4df8b60fef148p-1"; "10000010"; "688,261,536"; "2880037553744626032,4240924917798114153,282250231931539619"; "-5,1,-4"; "00101011"; "14,0,4"; "41,97,26"; "b9eab6a95a883489"; "2d2b796cda8f1f89"; "1857651e8b55bd3b"; "1857651e8b55bd3b" ] );
+    ( (-5),
+      [ "7a01d79fc1d93784"; "49fa730f02634930"; "3072962986656080474"; "0x1.6c2779cb5ab8p-7"; "0x1.a3d33e1d08eebp-1"; "01010100"; "128,405,483"; "212922157126196584,4583662936498396361,1334423731157217934"; "5,-3,2"; "10000000"; "8,6,2"; "10,56,82"; "420962c07a70ed92"; "ca9ce105b34e815c"; "6e95a4ffb52e62c2"; "6e95a4ffb52e62c2" ] );
+    ( max_int,
+      [ "6a2df487bd4abde8"; "7089a21212eab9fc"; "2337663391240183458"; "0x1.b3d21a6a5b24cp-3"; "0x1.aa966325ff504p-3"; "01101000"; "466,334,819"; "294165838749230736,3877489513430757844,2839267025710378413"; "-1,1,-4"; "01001001"; "4,2,0"; "163,28,97"; "e938928704aa5119"; "95290743a3f4ccd0"; "2bb1209af26a7997"; "2bb1209af26a7997" ] );
+  ]
+
+let test_known_answers () =
+  List.iter
+    (fun (seed, expected) ->
+      Alcotest.(check (list string)) (Printf.sprintf "seed %d" seed) expected
+        (script (Rng.create seed)))
+    golden
+
+let test_bernoulli_pow2_matches_bernoulli =
+  qcheck ~count:500 "bernoulli_pow2 k = bernoulli 2^-k (answer and stream)"
+    (fun (seed, k) ->
+      let a = Rng.create seed in
+      let b = Rng.copy a in
+      let p = 1.0 /. float_of_int (1 lsl k) in
+      let ok = ref true in
+      for _ = 1 to 16 do
+        if Rng.bernoulli_pow2 a k <> Rng.bernoulli b p then ok := false
+      done;
+      !ok && Rng.int64 a = Rng.int64 b)
+    QCheck.(pair int (int_range 0 52))
+
+let test_bernoulli_pow2_range () =
+  let r = rng ~salt:16 () in
+  Alcotest.check_raises "k < 0" (Invalid_argument "Rng.bernoulli_pow2: k must be in [0, 52]")
+    (fun () -> ignore (Rng.bernoulli_pow2 r (-1)));
+  Alcotest.check_raises "k > 52" (Invalid_argument "Rng.bernoulli_pow2: k must be in [0, 52]")
+    (fun () -> ignore (Rng.bernoulli_pow2 r 53))
+
+let test_draws_allocate_nothing () =
+  (* Every draw with an immediate result runs on the unboxed state words
+     ([int64] and [float] box their results, by type). [Gc.minor_words]
+     boxes its own float, so the budget is a small constant over 1000
+     rounds of draws. *)
+  let r = rng ~salt:17 () in
+  let sink = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    sink := !sink + Rng.bits r + Rng.int r 1000 + Rng.int_in r (-3) 3 + Rng.geometric r 0.25;
+    if Rng.bool r then incr sink;
+    if Rng.bernoulli r 0.3 then incr sink;
+    if Rng.bernoulli_pow2 r 3 then incr sink
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !sink);
+  check_true (Printf.sprintf "1000 rounds of draws allocate nothing (got %.0f words)" dw)
+    (dw < 16.0)
+
 let suite =
   [
+    Alcotest.test_case "known answers" `Quick test_known_answers;
+    test_bernoulli_pow2_matches_bernoulli;
+    Alcotest.test_case "bernoulli_pow2 range" `Quick test_bernoulli_pow2_range;
+    Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "copy" `Quick test_copy;
     Alcotest.test_case "distinct seeds" `Quick test_distinct_seeds;

@@ -14,6 +14,7 @@ module Protocol = Wx_radio.Protocol
 module Rng = Wx_util.Rng
 module Intvec = Wx_util.Intvec
 module Memgc = Wx_obs.Memgc
+module Metrics = Wx_obs.Metrics
 open Common
 
 (* Legacy/CSR protocol pairs that must consume identical rng streams. *)
@@ -69,6 +70,58 @@ let test_equivalence_qcheck =
       let a, b = run_both g Wx_radio.Decay_protocol.protocol Sim_csr.decay ~jobs:4 ~range:5 ~seed:99 in
       a = b)
     (arbitrary_graph ~lo:2 ~hi:32)
+
+let test_decay_coin_matches_float () =
+  (* The shared Decay coin answers and draws exactly as the float
+     expression it replaced, at every slot an int shift can name,
+     including the p < 0 (slot 62) and p = inf (slot 63) edges. *)
+  for slot = 0 to 63 do
+    let a = Rng.create (1000 + slot) in
+    let b = Rng.copy a in
+    let p = 1.0 /. float_of_int (1 lsl slot) in
+    for _ = 1 to 64 do
+      check_true
+        (Printf.sprintf "slot %d answer" slot)
+        (Wx_radio.Decay_protocol.coin a slot = Rng.bernoulli b p)
+    done;
+    check_true (Printf.sprintf "slot %d stream" slot) (Rng.int64 a = Rng.int64 b)
+  done
+
+let test_decay_counters_cross_engine () =
+  (* The Decay counters are batched per fill; totals must not depend on
+     the engine, and every transmit decision is a transmission. *)
+  let g = Gen.gnm (rng ~salt:31 ()) 300 900 in
+  let csr = Csr.of_graph g in
+  let counts run =
+    Metrics.reset ();
+    run ();
+    let get name = Metrics.counter_value (Metrics.counter name) in
+    ( get "radio.decay.coin_flips",
+      get "radio.decay.transmit_decisions",
+      get "radio.transmissions" )
+  in
+  Metrics.enable ();
+  Fun.protect ~finally:Metrics.disable (fun () ->
+      List.iter
+        (fun (legacy, csr_p) ->
+          let flips_a, tx_a, trans_a =
+            counts (fun () ->
+                ignore (Sim.run ~max_rounds:cap g ~source:0 legacy (Rng.create 5)))
+          in
+          let flips_b, tx_b, trans_b =
+            counts (fun () ->
+                ignore (Sim_csr.run ~max_rounds:cap ~jobs:1 csr ~source:0 csr_p (Rng.create 5)))
+          in
+          let name = legacy.Protocol.name in
+          check_true (name ^ ": coins flipped") (flips_a > 0);
+          check_int (name ^ ": coin flips") flips_a flips_b;
+          check_int (name ^ ": transmit decisions") tx_a tx_b;
+          check_int (name ^ ": decisions = transmissions (legacy)") trans_a tx_a;
+          check_int (name ^ ": decisions = transmissions (csr)") trans_b tx_b)
+        [
+          (Wx_radio.Decay_protocol.protocol, Sim_csr.decay);
+          (Wx_radio.Decay_protocol.globally_phased, Sim_csr.decay_globally_phased);
+        ])
 
 let test_jobs_invariance () =
   (* Larger sparse instance with the default range: identical outcomes at
@@ -195,29 +248,39 @@ let test_intvec () =
 
 let test_zero_alloc_steady_state () =
   (* The acceptance criterion behind the SIMSCALE alloc claim: once the
-     network is saturated, a flood step at jobs=1 allocates nothing (the
-     randomized protocols additionally pay the Rng's boxed int64 draws, so
-     flood is the clean probe of the kernel itself). *)
+     network is saturated, a step at jobs=1 allocates nothing, for flood
+     (the kernel alone) and for Decay (kernel plus one Rng coin per
+     informed vertex). *)
   let g = Gen.gnm (rng ~salt:23 ()) 2000 8000 in
   let csr = Csr.of_graph g in
-  let t = Sim_csr.create ~jobs:1 csr ~source:0 in
-  let r = Rng.create 7 in
-  (* Saturate first (flood either completes or reaches its fixpoint). *)
-  for _ = 1 to 200 do
-    ignore (Sim_csr.step t Sim_csr.flood r)
-  done;
-  Memgc.enable ();
-  Fun.protect ~finally:Memgc.disable (fun () ->
-      (* Gc.minor_words itself boxes a float (a few words), so the budget
-         is a constant independent of the step count: 50 steps under 10
-         words means the per-step cost is exactly zero. *)
-      let w0 = Memgc.own_minor_words () in
-      for _ = 1 to 50 do
-        ignore (Sim_csr.step t Sim_csr.flood r)
-      done;
-      let dw = Memgc.own_minor_words () -. w0 in
-      check_true (Printf.sprintf "steady-state flood steps allocate 0 words (got %.0f)" dw)
-        (dw < 10.0))
+  let saturated protocol =
+    let t = Sim_csr.create ~jobs:1 csr ~source:0 in
+    let r = Rng.create 7 in
+    (* Saturate first (the protocol either completes or reaches its
+       fixpoint within the budget). *)
+    for _ = 1 to 200 do
+      ignore (Sim_csr.step t protocol r)
+    done;
+    (t, r)
+  in
+  List.iter
+    (fun protocol ->
+      let t, r = saturated protocol in
+      Memgc.enable ();
+      Fun.protect ~finally:Memgc.disable (fun () ->
+          (* Gc.minor_words itself boxes a float (a few words), so the
+             budget is a constant independent of the step count: 50 steps
+             under 10 words means the per-step cost is exactly zero. *)
+          let w0 = Memgc.own_minor_words () in
+          for _ = 1 to 50 do
+            ignore (Sim_csr.step t protocol r)
+          done;
+          let dw = Memgc.own_minor_words () -. w0 in
+          check_true
+            (Printf.sprintf "steady-state %s steps allocate 0 words (got %.0f)"
+               protocol.Sim_csr.name dw)
+            (dw < 10.0)))
+    [ Sim_csr.flood; Sim_csr.decay; Sim_csr.decay_globally_phased ]
 
 let test_network_step_scratch_reuse () =
   (* Legacy satellite: the step loop reuses its scratch pair, so a long
@@ -243,6 +306,9 @@ let suite =
   [
     Alcotest.test_case "csr = legacy on all families" `Slow test_equivalence_on_families;
     test_equivalence_qcheck;
+    Alcotest.test_case "decay coin = float bernoulli" `Quick test_decay_coin_matches_float;
+    Alcotest.test_case "decay counters match across engines" `Quick
+      test_decay_counters_cross_engine;
     Alcotest.test_case "jobs invariance on gnm(3000)" `Slow test_jobs_invariance;
     Alcotest.test_case "csr layout structure" `Quick test_csr_structure;
     Alcotest.test_case "inform seeds extra sources" `Quick test_inform_seeding;
