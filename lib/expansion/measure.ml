@@ -99,7 +99,7 @@ let count_sets_le name g kmax =
          (Printf.sprintf "%s: more than max_int candidate sets (n = %d, kmax = %d)" name
             (Graph.n g) kmax))
 
-(* Σ_k C(n,k)·2^k Gray-code steps for the wireless measures. The 2^k factor
+(* Σ_k C(n,k)·2^k inner subset steps for the wireless measures. The 2^k factor
    is computed as [ldexp 1.0 k]: the previous [float_of_int (1 lsl k)]
    overflowed the OCaml int at k >= 62 and silently defeated the guard.
    A binomial overflow means the work certainly exceeds any limit. *)
@@ -141,8 +141,8 @@ let check_gray_work name k work_limit =
    whole enumeration — the per-set cost is the touched edges, with no
    allocation (the old path built a fresh neighborhood bitset per set).
 
-   A scorer couples the arena to a measure. [score] reads the arena (and
-   for the wireless measure runs the inner Gray-code maximisation) for the
+   A scorer couples the arena to a measure. [score] reads the arena (the
+   wireless measure instead runs the inner subset kernel below) for the
    set in the first [len] slots of the (possibly longer, reused) buffer;
    [bound_num] is the branch-and-bound numerator floor — a lower bound on
    the measure's numerator over {e every} strict extension of the set just
@@ -180,89 +180,165 @@ let unique_scorer g inc =
     flush = (fun () -> ());
   }
 
-(* Scratch for the count-only inner Gray kernel: per-vertex neighbor counts
-   plus mutable int fields (a boxed record, allocated once per shard, so
-   per-subset state updates allocate nothing). *)
-type gray_state = {
-  cnt : int array;
-  mutable flips : int;
-  mutable uniq : int;
+(* ---- the inner kernel: word-parallel subset DFS ----
+
+   βw(S) needs max_{S'⊆S} |Γ¹_S(S')| for every scored S. The kernel numbers
+   the out-neighbours N = Γ(S) \ S locally (one O(Σdeg) pass), packs N
+   into w = ⌈|N|/63⌉ words and gives every element of S its mask of
+   N-neighbours. An include/exclude DFS over S then carries, per depth,
+   the pair (ones, twos) = the N-vertices with at least one / at least two
+   neighbours in the current S'; adding element j with mask m is
+   twos' = twos lor (ones land m), ones' = ones lor m, and |Γ¹_S(S')| is
+   popcount (ones' land lnot twos'). Every non-empty S' is visited once,
+   so the work is 2^|S| - 1 subset visits of w word operations each, with
+   no per-neighbour membership test and no allocation: the per-depth
+   stacks and the numbering arrays belong to the kernel, which lives as
+   long as its shard. A maximum does not depend on visiting order, so the
+   value equals the Gray-code walk of [max_unique_over_subsets]. *)
+
+type kernel = {
+  g : Graph.t;
+  loc : int array;  (* local index of each vertex of N; -1 unnumbered, -2 in S *)
+  outs : int array;  (* the numbered vertices of N, to clear [loc] after *)
+  mutable masks : int array;  (* element i's N-neighbours: words [i*w, i*w+w) *)
+  mutable ones : int array;  (* per depth d: words [d*w, d*w+w) *)
+  mutable twos : int array;
   mutable best : int;
+  mutable steps : int;  (* inner subsets enumerated, 2^|S| - 1 per set *)
 }
 
-(* Max of |Γ¹_S(S')| over S' ⊆ S for S = the arena's current set (listed in
-   [elts], length >= 1), by Gray-code enumeration. Count-only: no witness,
-   no bitsets, membership tests against the arena. [st.cnt] must be
-   all-zero on entry and is re-zeroed on exit — the Gray walk over
-   [1 .. 2^len - 1] ends at the singleton {elts.(len-1)}, so one unwind
-   pass restores it in O(deg). *)
-let gray_max_unique_count g inc st elts len =
-  if len > max_gray_bits then
-    raise (Too_large "Measure: inner Gray enumeration exceeds the native-int ceiling");
-  st.uniq <- 0;
-  st.best <- 0;
-  let cnt = st.cnt in
-  let total = 1 lsl len in
-  for i = 1 to total - 1 do
-    (* The bit toggled at Gray step i is the lowest set bit of i; it is an
-       add exactly when set in gray(i) = i lxor (i lsr 1). *)
-    let bit =
-      let rec go b = if (i lsr b) land 1 = 1 then b else go (b + 1) in
-      go 0
-    in
-    let u = Array.unsafe_get elts bit in
-    let adding = ((i lxor (i lsr 1)) lsr bit) land 1 = 1 in
-    let nbrs = Graph.neighbors g u in
-    if adding then
-      for j = 0 to Array.length nbrs - 1 do
-        let w = Array.unsafe_get nbrs j in
-        if not (Nbhd.Inc.mem inc w) then begin
-          let c = cnt.(w) in
-          if c = 0 then st.uniq <- st.uniq + 1 else if c = 1 then st.uniq <- st.uniq - 1;
-          cnt.(w) <- c + 1
-        end
-      done
-    else
-      for j = 0 to Array.length nbrs - 1 do
-        let w = Array.unsafe_get nbrs j in
-        if not (Nbhd.Inc.mem inc w) then begin
-          let c = cnt.(w) in
-          if c = 1 then st.uniq <- st.uniq - 1 else if c = 2 then st.uniq <- st.uniq + 1;
-          cnt.(w) <- c - 1
-        end
-      done;
-    if st.uniq > st.best then st.best <- st.uniq
-  done;
-  st.flips <- st.flips + (total - 1);
-  let last = Graph.neighbors g elts.(len - 1) in
-  for j = 0 to Array.length last - 1 do
-    let w = Array.unsafe_get last j in
-    if not (Nbhd.Inc.mem inc w) then cnt.(w) <- 0
-  done;
-  st.best
+let kernel_create g =
+  let n = Graph.n g in
+  {
+    g;
+    loc = Array.make n (-1);
+    outs = Array.make n 0;
+    masks = [||];
+    ones = [||];
+    twos = [||];
+    best = 0;
+    steps = 0;
+  }
 
-let wireless_scorer g inc =
-  let st = { cnt = Array.make (Graph.n g) 0; flips = 0; uniq = 0; best = 0 } in
+let word_bits = Sys.int_size
+
+(* [Bitset.popcount], repeated here because the hottest loop below calls it
+   once per mask word per subset visit: the default dune profile compiles
+   with -opaque, which stops cross-module inlining, and the call costs
+   about 8% of βw's time. *)
+let[@inline] popcount x =
+  let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  let x = x + (x lsr 8) in
+  let x = x + (x lsr 16) in
+  (x + (x lsr 32)) land 0x7f
+
+(* Build the masks of the set in the first [len] slots of [elts], zero
+   the depth-0 state, and return the word count w. The buffers grow to the
+   largest set seen and are then reused. *)
+let kernel_load k elts len =
+  let loc = k.loc and g = k.g in
+  for i = 0 to len - 1 do
+    loc.(elts.(i)) <- -2
+  done;
+  let nn = ref 0 in
+  for i = 0 to len - 1 do
+    let nbrs = Graph.neighbors g elts.(i) in
+    for j = 0 to Array.length nbrs - 1 do
+      let v = Array.unsafe_get nbrs j in
+      if loc.(v) = -1 then begin
+        loc.(v) <- !nn;
+        k.outs.(!nn) <- v;
+        incr nn
+      end
+    done
+  done;
+  let w = (!nn + word_bits - 1) / word_bits in
+  if Array.length k.masks < len * w then k.masks <- Array.make (len * w) 0
+  else Array.fill k.masks 0 (len * w) 0;
+  if Array.length k.ones < (len + 1) * w then begin
+    k.ones <- Array.make ((len + 1) * w) 0;
+    k.twos <- Array.make ((len + 1) * w) 0
+  end
+  else begin
+    Array.fill k.ones 0 w 0;
+    Array.fill k.twos 0 w 0
+  end;
+  let masks = k.masks in
+  for i = 0 to len - 1 do
+    let nbrs = Graph.neighbors g elts.(i) in
+    for j = 0 to Array.length nbrs - 1 do
+      let b = loc.(Array.unsafe_get nbrs j) in
+      if b >= 0 then begin
+        let x = (i * w) + (b / word_bits) in
+        masks.(x) <- masks.(x) lor (1 lsl (b mod word_bits))
+      end
+    done
+  done;
+  for i = 0 to len - 1 do
+    loc.(elts.(i)) <- -1
+  done;
+  for x = 0 to !nn - 1 do
+    loc.(k.outs.(x)) <- -1
+  done;
+  w
+
+(* Visit, for each j in [i, len), the subset that extends the depth-d
+   state (stored at [base] = d*w) by element j, then its own extensions by
+   larger elements. Each non-empty subset is reached from exactly one
+   parent, its set minus its largest element. Returns the running max. *)
+let rec kernel_dfs ones twos masks w len base i best =
+  let next = base + w in
+  let best = ref best in
+  for j = i to len - 1 do
+    let mb = j * w in
+    let c = ref 0 in
+    for x = 0 to w - 1 do
+      let o = Array.unsafe_get ones (base + x) and m = Array.unsafe_get masks (mb + x) in
+      let t = Array.unsafe_get twos (base + x) lor (o land m) and o = o lor m in
+      Array.unsafe_set ones (next + x) o;
+      Array.unsafe_set twos (next + x) t;
+      c := !c + popcount (o land lnot t)
+    done;
+    if !c > !best then best := !c;
+    if j + 1 < len then best := kernel_dfs ones twos masks w len next (j + 1) !best
+  done;
+  !best
+
+(* max_{S'⊆S} |Γ¹_S(S')| for S = the first [len] (>= 1) slots of [elts]. *)
+let kernel_max k elts len =
+  if len > max_gray_bits then
+    raise (Too_large "Measure: inner subset enumeration exceeds the native-int ceiling");
+  let w = kernel_load k elts len in
+  k.best <- kernel_dfs k.ones k.twos k.masks w len 0 0 0;
+  k.steps <- k.steps + ((1 lsl len) - 1);
+  k.best
+
+let kernel_flush k =
+  if k.steps > 0 then begin
+    Metrics.add m_gray_flips k.steps;
+    Work.add Work.gray_steps k.steps;
+    k.steps <- 0
+  end
+
+let wireless_scorer g _inc =
+  let k = kernel_create g in
   {
     score =
       (fun idxs ~len ->
-        let m = gray_max_unique_count g inc st idxs len in
+        let m = kernel_max k idxs len in
         float_of_int m /. float_of_int len);
     bound_num =
       (fun ~last:_ ~budget ->
-        (* [st.best] is max_{S'⊆S} |Γ¹_S(S')| for the set just scored. For
+        (* [k.best] is max_{S'⊆S} |Γ¹_S(S')| for the set just scored. For
            any T ⊇ S the same S' is still a candidate, and moving a vertex
            into T removes at most that vertex itself from Γ¹_T(S') — the
            per-N-vertex counts w.r.t. the fixed S' do not change. So
-           w(T) >= st.best - budget. *)
-        let b = st.best - budget in
+           w(T) >= k.best - budget. *)
+        let b = k.best - budget in
         if b > 0 then b else 0);
-    flush =
-      (fun () ->
-        if st.flips > 0 then begin
-          Metrics.add m_gray_flips st.flips;
-          Work.add Work.gray_steps st.flips
-        end);
+    flush = (fun () -> kernel_flush k);
   }
 
 (* ---- exact minima, sharded by smallest element ----
@@ -507,9 +583,10 @@ let beta_u_sampled ?alpha ?jobs rng ~samples g =
         (Nbhd.unique_expansion_of_set g))
 
 (* Exact max over S' of |Γ¹_S(S')| for a fixed S, returning (max, argmax).
-   Gray-code enumeration with incremental per-vertex neighbor counts. The
-   witness-tracking variant used by [wireless_of_set_exact] and the sampled
-   path; the exact outer loops use the count-only kernel above instead. *)
+   Gray-code enumeration with incremental per-vertex neighbor counts; the
+   argmax is the first strict maximum in Gray order, which is the witness
+   [wireless_of_set_exact] reports. Value-only callers use the
+   word-parallel kernel above instead. *)
 let max_unique_over_subsets ?(work_limit = 1 lsl 24) g s =
   let n = Graph.n g in
   let elts = Bitset.to_array s in
@@ -523,10 +600,9 @@ let max_unique_over_subsets ?(work_limit = 1 lsl 24) g s =
   let best_set = ref (Bitset.create n) in
   let total = 1 lsl k in
   for i = 1 to total - 1 do
-    let bit =
-      let rec go b = if (i lsr b) land 1 = 1 then b else go (b + 1) in
-      go 0
-    in
+    (* The bit toggled at Gray step i is the lowest set bit of i; it is an
+       add exactly when set in gray(i) = i lxor (i lsr 1). *)
+    let bit = Bitset.lowest_bit i in
     let u = elts.(bit) in
     let adding = ((i lxor (i lsr 1)) lsr bit) land 1 = 1 in
     let nbrs = Graph.neighbors g u in
@@ -561,6 +637,15 @@ let max_unique_over_subsets ?(work_limit = 1 lsl 24) g s =
   Work.add Work.gray_steps (total - 1);
   (!best, !best_set)
 
+let max_unique_count g s =
+  let elts = Bitset.to_array s in
+  let len = Array.length elts in
+  if len = 0 then invalid_arg "Measure.max_unique_count: empty set";
+  let k = kernel_create g in
+  let m = kernel_max k elts len in
+  kernel_flush k;
+  m
+
 let wireless_of_set_exact ?work_limit g s =
   let m, s' = max_unique_over_subsets ?work_limit g s in
   { value = float_of_int m /. float_of_int (Bitset.cardinal s); witness = s' }
@@ -571,14 +656,14 @@ let beta_w_exact ?alpha ?(work_limit = 1 lsl 26) ?prune ?jobs g =
       let n = Graph.n g in
       if n = 0 || kmax = 0 then invalid_arg "Measure.beta_w_exact: no feasible sets";
       check_wireless_work "Measure.beta_w_exact" g kmax work_limit;
-      (* The heartbeat counts outer sets; the admitted Gray work bounds the
+      (* The heartbeat counts outer sets; the admitted inner work bounds the
          subset count, so this is safe to compute after the guard. *)
       let progress_total = try Combi.subsets_count_le n kmax with Combi.Overflow -> 0 in
       min_over_shards "Measure.beta_w_exact" ~progress_total ?prune ?jobs g kmax
         (wireless_scorer g))
 
 (* Largest sampled |S| for which the inner 2^|S| maximisation is viable;
-   matches the default [inner_work_limit] of 2^22 Gray-code steps. *)
+   matches the default [inner_work_limit] of 2^22 inner subset steps. *)
 let wireless_sample_cap = 22
 
 let beta_w_sampled ?alpha ?(inner_work_limit = 1 lsl 22) ?jobs rng ~samples g =
@@ -591,6 +676,7 @@ let beta_w_sampled ?alpha ?(inner_work_limit = 1 lsl 22) ?jobs rng ~samples g =
       let streams = split_streams rng nblocks in
       let shard b =
         let r = streams.(b) in
+        let kern = kernel_create g in
         let best = ref None in
         let ndraws = min sample_block (samples - (b * sample_block)) in
         for _ = 1 to ndraws do
@@ -608,10 +694,13 @@ let beta_w_sampled ?alpha ?(inner_work_limit = 1 lsl 22) ?jobs rng ~samples g =
             else k
           in
           let s = Bitset.random_of_universe r n k in
-          match max_unique_over_subsets ~work_limit:inner_work_limit g s with
-          | m, _ -> consider best (float_of_int m /. float_of_int k) s ~copy:false
+          match check_gray_work "Measure.wireless_of_set" k inner_work_limit with
+          | () ->
+              let m = kernel_max kern (Bitset.to_array s) k in
+              consider best (float_of_int m /. float_of_int k) s ~copy:false
           | exception Too_large _ -> Metrics.incr m_inner_pruned
         done;
+        kernel_flush kern;
         Work.add Work.draws ndraws;
         !best
       in

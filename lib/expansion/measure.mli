@@ -9,8 +9,12 @@
       any witnessed set bounds it from above). Returns the witness.
 
     The wireless measure additionally needs, per set S, a maximum over
-    subsets S′ ⊆ S; [wireless_of_set_exact] enumerates S′ in Gray-code
-    order with incremental unique-count maintenance.
+    subsets S′ ⊆ S. [wireless_of_set_exact] enumerates S′ in Gray-code
+    order with incremental unique-count maintenance, to report the
+    maximising S′; the value-only callers ([beta_w_exact],
+    [beta_w_sampled], [profile_beta_w], {!max_unique_count}) share one
+    word-parallel kernel, a subset DFS over per-element bitmasks of
+    Γ(S) \ S.
 
     {2 Parallelism and determinism}
 
@@ -94,6 +98,17 @@ val wireless_of_set_exact : ?work_limit:int -> Graph.t -> Bitset.t -> witnessed
     Gray-code walk is inherently sequential and runs on the calling
     domain. *)
 
+val max_unique_count : Graph.t -> Bitset.t -> int
+(** [max_{S′ ⊆ S} |Γ¹_S(S′)|], value only, by the kernel behind
+    [beta_w_exact]: Γ(S) \ S is packed into ⌈|Γ(S) \ S|/63⌉ words, each
+    element of S gets its neighbour mask, and a DFS over S′ carries the
+    "at least one" and "at least two" neighbour masks. Equal to the value
+    of [wireless_of_set_exact] times |S|. Cost 2^|S| − 1 subset visits of
+    one word operation per mask word, no allocation per visit; there is
+    no work limit beyond the native-int ceiling — |S| above
+    [Wx_util.Guard.max_gray_bits] raises {!Too_large}. Raises
+    [Invalid_argument] on the empty set. *)
+
 val beta_w_exact :
   ?alpha:float -> ?work_limit:int -> ?prune:bool -> ?jobs:int -> Graph.t -> witnessed
 (** Exact wireless expansion: min over S of max over S′. Cost ~3^n; the
@@ -124,4 +139,5 @@ val profile_beta_u : ?alpha:float -> ?work_limit:int -> ?jobs:int -> Graph.t -> 
 
 val profile_beta_w : ?alpha:float -> ?work_limit:int -> ?jobs:int -> Graph.t -> (int * float) list
 (** Per-size wireless expansion profile (exact inner maximization per set);
-    work limit counts elementary Gray-code steps, default 2^26. *)
+    work limit counts inner subset steps (2^|S| per scored set), default
+    2^26. *)

@@ -203,34 +203,31 @@ module Bip = struct
     let buf = Bitset.create (Bipartite.s_count t) in
     let flip u =
       (* Toggle S-vertex [u]; update per-N counts and the unique counter. *)
+      let nbrs = Bipartite.neighbors_s t u in
       if Bitset.mem buf u then begin
         Bitset.remove_inplace buf u;
-        Array.iter
-          (fun w ->
-            if cnt.(w) = 1 then decr uniq else if cnt.(w) = 2 then incr uniq;
-            cnt.(w) <- cnt.(w) - 1)
-          (Bipartite.neighbors_s t u)
+        for j = 0 to Array.length nbrs - 1 do
+          let w = Array.unsafe_get nbrs j in
+          let c = cnt.(w) in
+          if c = 1 then decr uniq else if c = 2 then incr uniq;
+          cnt.(w) <- c - 1
+        done
       end
       else begin
         Bitset.add_inplace buf u;
-        Array.iter
-          (fun w ->
-            if cnt.(w) = 0 then incr uniq else if cnt.(w) = 1 then decr uniq;
-            cnt.(w) <- cnt.(w) + 1)
-          (Bipartite.neighbors_s t u)
+        for j = 0 to Array.length nbrs - 1 do
+          let w = Array.unsafe_get nbrs j in
+          let c = cnt.(w) in
+          if c = 0 then incr uniq else if c = 1 then decr uniq;
+          cnt.(w) <- c + 1
+        done
       end
     in
     f buf !uniq;
     let total = 1 lsl k in
+    (* Step i flips the lowest set bit of i: gray(i) lxor gray(i-1). *)
     for i = 1 to total - 1 do
-      let gray_prev = (i - 1) lxor ((i - 1) lsr 1) in
-      let gray = i lxor (i lsr 1) in
-      let changed = gray lxor gray_prev in
-      let bit =
-        let rec go b = if changed lsr b land 1 = 1 then b else go (b + 1) in
-        go 0
-      in
-      flip elts.(bit);
+      flip elts.(Bitset.lowest_bit i);
       f buf !uniq
     done
 end

@@ -56,26 +56,28 @@ let remove t i =
   remove_inplace t' i;
   t'
 
-(* Byte-table popcount: robust for OCaml's 63-bit native ints. *)
-let popcount_table =
-  Array.init 256 (fun i ->
-      let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-      go i 0)
+(* Branch-free SWAR popcount over all 63 bits of a native int. The masks
+   are the usual 64-bit constants; their truncation to 63 bits keeps the
+   field layout (bit 62 is a field of its own after the first step), and
+   the byte-sum tail adds at most 63, which fits the low byte. *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  let x = x + (x lsr 8) in
+  let x = x + (x lsr 16) in
+  (x + (x lsr 32)) land 0x7f
 
-let popcount_word x =
-  let t = popcount_table in
-  let acc = ref 0 in
-  let x = ref x in
-  while !x <> 0 do
-    acc := !acc + t.(!x land 0xff);
-    x := !x lsr 8
-  done;
-  !acc
+(* [x land (-x)] isolates the lowest set bit; the bits below it, counted,
+   are its index. Branch-free past the zero check, and allocation-free. *)
+let lowest_bit x =
+  if x = 0 then invalid_arg "Bitset.lowest_bit: zero";
+  popcount ((x land (-x)) - 1)
 
 let cardinal t =
   let acc = ref 0 in
   for i = 0 to Array.length t.words - 1 do
-    acc := !acc + popcount_word t.words.(i)
+    acc := !acc + popcount t.words.(i)
   done;
   !acc
 
@@ -138,7 +140,7 @@ let count2 f a b =
   let aw = a.words and bw = b.words in
   let acc = ref 0 in
   for i = 0 to Array.length aw - 1 do
-    acc := !acc + popcount_word (f (Array.unsafe_get aw i) (Array.unsafe_get bw i))
+    acc := !acc + popcount (f (Array.unsafe_get aw i) (Array.unsafe_get bw i))
   done;
   !acc
 
@@ -241,14 +243,8 @@ let iter_subsets s f =
      is a single bit flip in [buf]. *)
   f buf;
   for i = 1 to total - 1 do
-    let gray_prev = (i - 1) lxor ((i - 1) lsr 1) in
-    let gray = i lxor (i lsr 1) in
-    let changed = gray lxor gray_prev in
-    let bit =
-      let rec go b = if changed lsr b land 1 = 1 then b else go (b + 1) in
-      go 0
-    in
-    let v = elts.(bit) in
+    (* Step i flips the lowest set bit of i: gray(i) lxor gray(i-1). *)
+    let v = elts.(lowest_bit i) in
     if mem buf v then remove_inplace buf v else add_inplace buf v;
     f buf
   done

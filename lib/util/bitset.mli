@@ -31,6 +31,14 @@ val remove : t -> int -> t
 val cardinal : t -> int
 (** Popcount over all words; O(n / word_size). *)
 
+val popcount : int -> int
+(** Number of set bits in a native int (all [Sys.int_size] bits). *)
+
+val lowest_bit : int -> int
+(** Index of the lowest set bit of a non-zero int — the element a
+    Gray-code walk flips at step [i] is [lowest_bit i]. Allocation-free.
+    Raises [Invalid_argument] on [0]. *)
+
 val is_empty : t -> bool
 
 val equal : t -> t -> bool

@@ -133,6 +133,47 @@ let test_iter_subsets_too_large () =
      Alcotest.fail "expected Too_large"
    with Wx_expansion.Measure.Too_large _ -> ())
 
+(* The word helpers against bit-by-bit scans, over all 63 bits: the sign
+   bit, [max_int], single bits at every position, and random words. The
+   Gray walk of [iter_subsets] relies on [lowest_bit i] naming the element
+   that step i flips, so its order is checked too. *)
+let test_word_helpers () =
+  let slow_popcount x =
+    let c = ref 0 in
+    for b = 0 to Sys.int_size - 1 do
+      if (x lsr b) land 1 = 1 then incr c
+    done;
+    !c
+  in
+  let slow_lowest x =
+    let b = ref 0 in
+    while (x lsr !b) land 1 = 0 do
+      incr b
+    done;
+    !b
+  in
+  let r = rng ~salt:21 () in
+  let words =
+    [ 1; -1; max_int; min_int; 0x5555_5555_5555_5555 ]
+    @ List.init Sys.int_size (fun b -> 1 lsl b)
+    @ List.init 200 (fun _ -> Wx_util.Rng.bits r lxor (Wx_util.Rng.bits r lsl 30))
+  in
+  check_int "popcount 0" 0 (Bitset.popcount 0);
+  List.iter
+    (fun x ->
+      check_int (Printf.sprintf "popcount %x" x) (slow_popcount x) (Bitset.popcount x);
+      if x <> 0 then
+        check_int (Printf.sprintf "lowest_bit %x" x) (slow_lowest x) (Bitset.lowest_bit x))
+    words;
+  let elts = [| 2; 5; 9; 13 |] in
+  let step = ref 0 in
+  Bitset.iter_subsets (Bitset.of_array 16 elts) (fun sub ->
+      let gray = !step lxor (!step lsr 1) in
+      let expected = List.filter (fun i -> (gray lsr i) land 1 = 1) [ 0; 1; 2; 3 ] in
+      check_true "Gray order" (Bitset.elements sub = List.map (fun i -> elts.(i)) expected);
+      incr step);
+  check_int "2^4 subsets" 16 !step
+
 let test_random_subset () =
   let r = rng ~salt:20 () in
   let s = Bitset.full 200 in
@@ -223,6 +264,7 @@ let suite =
     Alcotest.test_case "complement" `Quick test_complement;
     Alcotest.test_case "iter_subsets" `Quick test_iter_subsets_count;
     Alcotest.test_case "iter_subsets too large" `Quick test_iter_subsets_too_large;
+    Alcotest.test_case "popcount and lowest_bit" `Quick test_word_helpers;
     Alcotest.test_case "random subset" `Quick test_random_subset;
     Alcotest.test_case "random of universe" `Quick test_random_of_universe;
     Alcotest.test_case "array roundtrip" `Quick test_to_array_of_array;

@@ -152,6 +152,62 @@ let test_gray_guard_single_bound () =
   let w = Measure.wireless_of_set_exact ~work_limit:1024 g s10 in
   check_true "at-limit set scored" (w.Measure.value > 0.0)
 
+(* The word-parallel inner kernel behind [beta_w_exact]. A set with more
+   than 63 out-neighbours needs two mask words; the brute force below
+   scores every set of size <= 2 by plain set algebra, so the kernel's
+   multiword path is checked against code that shares nothing with it. *)
+let test_beta_w_exact_multiword () =
+  let n = 150 in
+  let g = Gen.gnp (Wx_util.Rng.create 7) n 0.6 in
+  check_true "a singleton spans two mask words" (Graph.max_degree g > 63);
+  let alpha = 2.5 /. float_of_int n in
+  check_int "kmax" 2 (Measure.max_set_size ~alpha g);
+  let adj = Array.init n (fun v -> Bitset.of_array n (Graph.neighbors g v)) in
+  let best = ref (infinity, []) in
+  let consider v elts = if compare (v, elts) !best < 0 then best := (v, elts) in
+  for u = 0 to n - 1 do
+    consider (float_of_int (Bitset.cardinal adj.(u))) [ u ];
+    for v = u + 1 to n - 1 do
+      let s = Bitset.of_list n [ u; v ] in
+      let only_u = Bitset.diff_cardinal adj.(u) s in
+      let only_v = Bitset.diff_cardinal adj.(v) s in
+      let xor = Bitset.diff (Bitset.union adj.(u) adj.(v)) (Bitset.inter adj.(u) adj.(v)) in
+      let both = Bitset.diff_cardinal xor s in
+      consider (float_of_int (max both (max only_u only_v)) /. 2.0) [ u; v ]
+    done
+  done;
+  let w = Measure.beta_w_exact ~alpha g in
+  check_float "βw = brute-force minimum" (fst !best) w.Measure.value;
+  check_true "lex-smallest witness" (Bitset.elements w.Measure.witness = snd !best)
+
+(* The kernel refuses a set past the native-int ceiling on its step count
+   instead of starting an enumeration that could never finish. *)
+let test_kernel_native_ceiling () =
+  let g = Gen.cycle 126 in
+  let big = Bitset.of_array 126 (Array.init (Wx_util.Guard.max_gray_bits + 1) Fun.id) in
+  match Measure.max_unique_count g big with
+  | _ -> Alcotest.fail "expected Too_large past max_gray_bits"
+  | exception Measure.Too_large _ -> ()
+
+(* Allocation pin: the exact wireless loop allocates O(1) words per scored
+   outer set, none per inner subset visit. (The per-visit closures of the
+   earlier Gray walk cost ~550 words per set here; the kernel costs ~2.) *)
+let test_beta_w_exact_alloc_budget () =
+  let module Memgc = Wx_obs.Memgc in
+  let g = Gen.random_regular (Wx_util.Rng.create 5) 16 4 in
+  let sets = Wx_util.Combi.subsets_count_le 16 (Measure.max_set_size g) in
+  Memgc.enable ();
+  let d =
+    Fun.protect ~finally:Memgc.disable (fun () ->
+        let before = Memgc.read () in
+        ignore (Measure.beta_w_exact ~prune:false ~jobs:1 g);
+        Memgc.diff ~before ~after:(Memgc.read ()))
+  in
+  let per_set = float_of_int d.Memgc.minor_words /. float_of_int sets in
+  check_true
+    (Printf.sprintf "%.2f minor words per scored set <= 16" per_set)
+    (per_set <= 16.0)
+
 let test_profile_beta () =
   let profile = Measure.profile_beta (Gen.cycle 10) in
   check_int "5 sizes" 5 (List.length profile);
@@ -205,6 +261,19 @@ let qcheck_tests =
           b >= bw -. 1e-9 && bw >= bu -. 1e-9
         end)
       (arbitrary_graph ~lo:3 ~hi:10);
+    (* Sets of up to 10 vertices in graphs of up to 150, so the
+       out-neighbourhood often spans two or three mask words. *)
+    qcheck ~count:60 "kernel max = Gray-walk max"
+      (fun (g, seed) ->
+        let n = Graph.n g in
+        let r = Wx_util.Rng.create seed in
+        let k = 1 + Wx_util.Rng.int r (min n 10) in
+        let s = Bitset.random_of_universe r n k in
+        let m = Measure.max_unique_count g s in
+        let w = Measure.wireless_of_set_exact g s in
+        float_of_int m /. float_of_int k = w.Measure.value
+        && m = Bitset.cardinal (Nbhd.gamma1_excluding g s w.Measure.witness))
+      (QCheck.pair (arbitrary_graph ~lo:4 ~hi:150) QCheck.small_nat);
     qcheck ~count:25 "wireless of set >= unique of set"
       (fun g ->
         let n = Graph.n g in
@@ -236,6 +305,9 @@ let suite =
     Alcotest.test_case "work guard overflow is Too_large" `Quick
       test_work_guard_overflow_is_too_large;
     Alcotest.test_case "gray guard derives one bound" `Quick test_gray_guard_single_bound;
+    Alcotest.test_case "beta_w exact multiword masks" `Quick test_beta_w_exact_multiword;
+    Alcotest.test_case "kernel native-int ceiling" `Quick test_kernel_native_ceiling;
+    Alcotest.test_case "beta_w exact alloc budget" `Quick test_beta_w_exact_alloc_budget;
     Alcotest.test_case "profile beta" `Quick test_profile_beta;
     Alcotest.test_case "bip max unique gbad" `Quick test_bip_exact_max_unique_gbad;
     Alcotest.test_case "bip ordinary exact" `Quick test_bip_ordinary_expansion_exact;
