@@ -27,18 +27,22 @@ let create s =
     acc := !acc + size.(v)
   done;
   let n_total = !acc in
-  (* Edges: leaf s+j (S-vertex j) to every block on its root path. *)
-  let es = ref [] in
-  for j = 0 to s - 1 do
-    let v = ref (s + j) in
-    while !v >= 1 do
-      for r = 0 to size.(!v) - 1 do
-        es := (j, offset.(!v) + r) :: !es
-      done;
-      v := !v / 2
-    done
-  done;
-  { s; levels; bip = Bipartite.of_edges ~s ~n:n_total !es; offset; size }
+  (* Row of leaf s+j (S-vertex j): every block on its root path, root
+     first. Block offsets grow with the heap index, so the row is sorted. *)
+  let rows =
+    Array.init s (fun j ->
+        let row = Array.make nodes 0 in
+        let pos = ref 0 in
+        for d = 0 to levels do
+          let v = (s + j) lsr (levels - d) in
+          for r = 0 to size.(v) - 1 do
+            row.(!pos) <- offset.(v) + r;
+            incr pos
+          done
+        done;
+        row)
+  in
+  { s; levels; bip = Bipartite.of_rows ~n:n_total rows; offset; size }
 
 let s t = t.s
 let n_size t = Bipartite.n_count t.bip

@@ -17,24 +17,23 @@ type t = {
 let blow_up_n core k =
   if k < 1 then invalid_arg "Gen_core.blow_up_n: k must be >= 1";
   let b = Core_graph.bip core in
-  let s = Bipartite.s_count b and n = Bipartite.n_count b in
-  let es = ref [] in
-  Bipartite.iter_edges b (fun u w ->
-      for c = 0 to k - 1 do
-        es := (u, (w * k) + c) :: !es
-      done);
-  Bipartite.of_edges ~s ~n:(n * k) !es
+  let n = Bipartite.n_count b in
+  (* N-vertex w becomes w*k .. w*k+k-1; the rows stay sorted. *)
+  let rows =
+    Array.init (Bipartite.s_count b) (fun u ->
+        let nbrs = Bipartite.neighbors_s b u in
+        Array.init (Array.length nbrs * k) (fun i -> (nbrs.(i / k) * k) + (i mod k)))
+  in
+  Bipartite.of_rows ~n:(n * k) rows
 
 let blow_up_s core k =
   if k < 1 then invalid_arg "Gen_core.blow_up_s: k must be >= 1";
   let b = Core_graph.bip core in
-  let s = Bipartite.s_count b and n = Bipartite.n_count b in
-  let es = ref [] in
-  Bipartite.iter_edges b (fun u w ->
-      for c = 0 to k - 1 do
-        es := ((u * k) + c, w) :: !es
-      done);
-  Bipartite.of_edges ~s:(s * k) ~n !es
+  (* S-vertex u becomes u*k .. u*k+k-1, each with u's neighbourhood. *)
+  let rows =
+    Array.init (Bipartite.s_count b * k) (fun x -> Array.copy (Bipartite.neighbors_s b (x / k)))
+  in
+  Bipartite.of_rows ~n:(Bipartite.n_count b) rows
 
 let e = Float.exp 1.0
 

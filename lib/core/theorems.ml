@@ -30,14 +30,28 @@ let ge ?(slack = 1e-9) a b = a >= b -. slack
 (* ------------------------------------------------------------------ *)
 (* Section 2/3                                                         *)
 
-let obs_2_1 ?alpha instance g =
-  let b = (Measure.beta_exact ?alpha g).Measure.value in
-  let bw = (Measure.beta_w_exact ?alpha g).Measure.value in
-  let bu = (Measure.beta_u_exact ?alpha g).Measure.value in
+(* The three relation checks over given exact values; [run_all] measures
+   each small graph once and feeds all three. *)
+let obs_2_1_of instance ~beta ~beta_u ~beta_w =
   [
-    { claim = "Obs 2.1 (β≥βw)"; instance; predicted = bw; measured = b; holds = ge b bw };
-    { claim = "Obs 2.1 (βw≥βu)"; instance; predicted = bu; measured = bw; holds = ge bw bu };
+    { claim = "Obs 2.1 (β≥βw)"; instance; predicted = beta_w; measured = beta; holds = ge beta beta_w };
+    { claim = "Obs 2.1 (βw≥βu)"; instance; predicted = beta_u; measured = beta_w; holds = ge beta_w beta_u };
   ]
+
+let lemma_3_2_of instance g ~beta ~beta_u =
+  let predicted = Bounds.lemma_3_2 ~beta ~delta:(Graph.max_degree g) in
+  { claim = "Lemma 3.2"; instance; predicted; measured = beta_u; holds = ge beta_u predicted }
+
+let lemma_4_1_of instance g ~beta ~beta_w =
+  let predicted = Bounds.lemma_3_2 ~beta ~delta:(Graph.max_degree g) in
+  { claim = "Lemma 4.1"; instance; predicted; measured = beta_w; holds = ge beta_w predicted }
+
+let beta ?alpha g = (Measure.beta_exact ?alpha g).Measure.value
+let beta_u ?alpha g = (Measure.beta_u_exact ?alpha g).Measure.value
+let beta_w ?alpha g = (Measure.beta_w_exact ?alpha g).Measure.value
+
+let obs_2_1 ?alpha instance g =
+  obs_2_1_of instance ~beta:(beta ?alpha g) ~beta_u:(beta_u ?alpha g) ~beta_w:(beta_w ?alpha g)
 
 let lemma_3_1 ?(alpha = 0.5) instance g rng =
   let d =
@@ -46,22 +60,16 @@ let lemma_3_1 ?(alpha = 0.5) instance g rng =
     | None -> invalid_arg "Theorems.lemma_3_1: graph must be regular"
   in
   let lambda2 = Wx_spectral.Spectral_gap.lambda2_regular g rng in
-  let beta_u = (Measure.beta_u_exact ~alpha g).Measure.value in
-  let beta = (Measure.beta_exact ~alpha g).Measure.value in
+  let beta_u = beta_u ~alpha g in
+  let beta = beta ~alpha g in
   let predicted = Bounds.lemma_3_1 ~d ~lambda2 ~alpha_u:alpha ~beta_u in
   { claim = "Lemma 3.1"; instance; predicted; measured = beta; holds = ge beta predicted }
 
 let lemma_3_2 ?alpha instance g =
-  let beta = (Measure.beta_exact ?alpha g).Measure.value in
-  let beta_u = (Measure.beta_u_exact ?alpha g).Measure.value in
-  let predicted = Bounds.lemma_3_2 ~beta ~delta:(Graph.max_degree g) in
-  { claim = "Lemma 3.2"; instance; predicted; measured = beta_u; holds = ge beta_u predicted }
+  lemma_3_2_of instance g ~beta:(beta ?alpha g) ~beta_u:(beta_u ?alpha g)
 
 let lemma_4_1 ?alpha instance g =
-  let beta = (Measure.beta_exact ?alpha g).Measure.value in
-  let beta_w = (Measure.beta_w_exact ?alpha g).Measure.value in
-  let predicted = Bounds.lemma_3_2 ~beta ~delta:(Graph.max_degree g) in
-  { claim = "Lemma 4.1"; instance; predicted; measured = beta_w; holds = ge beta_w predicted }
+  lemma_4_1_of instance g ~beta:(beta ?alpha g) ~beta_w:(beta_w ?alpha g)
 
 let lemma_3_3 gb =
   let t = Gbad.bip gb in
@@ -354,9 +362,11 @@ let run_all ?(quick = false) rng =
   let push c = acc := c :: !acc in
   let pushes cs = List.iter push cs in
   (* Sections 2–3. *)
-  List.iter (fun (name, g) -> pushes (obs_2_1 name g)) small;
-  List.iter (fun (name, g) -> push (lemma_3_2 name g)) small;
-  List.iter (fun (name, g) -> push (lemma_4_1 name g)) small;
+  let measured = List.map (fun (name, g) -> (name, g, beta g, beta_u g, beta_w g)) small in
+  List.iter (fun (name, _, beta, beta_u, beta_w) -> pushes (obs_2_1_of name ~beta ~beta_u ~beta_w))
+    measured;
+  List.iter (fun (name, g, beta, beta_u, _) -> push (lemma_3_2_of name g ~beta ~beta_u)) measured;
+  List.iter (fun (name, g, beta, _, beta_w) -> push (lemma_4_1_of name g ~beta ~beta_w)) measured;
   List.iter
     (fun (name, g) ->
       if Wx_graph.Traversal.is_connected g then push (lemma_3_1 name g rng))

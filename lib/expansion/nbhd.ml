@@ -199,17 +199,21 @@ module Bip = struct
     let k = Array.length elts in
     if k > 30 then invalid_arg "Nbhd.Bip.iter_gray_unique: too many elements";
     let cnt = Array.make (Bipartite.n_count t) 0 in
-    let uniq = ref 0 in
+    let covered = ref 0 and uniq = ref 0 in
     let buf = Bitset.create (Bipartite.s_count t) in
     let flip u =
-      (* Toggle S-vertex [u]; update per-N counts and the unique counter. *)
+      (* Toggle S-vertex [u]; update per-N counts and both counters. *)
       let nbrs = Bipartite.neighbors_s t u in
       if Bitset.mem buf u then begin
         Bitset.remove_inplace buf u;
         for j = 0 to Array.length nbrs - 1 do
           let w = Array.unsafe_get nbrs j in
           let c = cnt.(w) in
-          if c = 1 then decr uniq else if c = 2 then incr uniq;
+          if c = 1 then begin
+            decr uniq;
+            decr covered
+          end
+          else if c = 2 then incr uniq;
           cnt.(w) <- c - 1
         done
       end
@@ -218,16 +222,21 @@ module Bip = struct
         for j = 0 to Array.length nbrs - 1 do
           let w = Array.unsafe_get nbrs j in
           let c = cnt.(w) in
-          if c = 0 then incr uniq else if c = 1 then decr uniq;
+          if c = 0 then begin
+            incr uniq;
+            incr covered
+          end
+          else if c = 1 then decr uniq;
           cnt.(w) <- c + 1
         done
       end
     in
-    f buf !uniq;
+    f buf ~covered:!covered ~unique:!uniq;
     let total = 1 lsl k in
-    (* Step i flips the lowest set bit of i: gray(i) lxor gray(i-1). *)
+    (* Step i flips the lowest set bit of i: gray(i) lxor gray(i-1), the
+       order of [Bitset.iter_subsets]. *)
     for i = 1 to total - 1 do
       flip elts.(Bitset.lowest_bit i);
-      f buf !uniq
+      f buf ~covered:!covered ~unique:!uniq
     done
 end

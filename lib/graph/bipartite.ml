@@ -2,37 +2,71 @@ module Bitset = Wx_util.Bitset
 
 type t = { s : int; n : int; m : int; adj_s : int array array; adj_n : int array array }
 
+(* Each row is checked, then sorted and stripped of duplicates unless it is
+   already strictly increasing (the constructors that build rows directly
+   produce them sorted, so they skip the sort). The N side is the transpose,
+   filled in increasing S order, so its rows come out sorted and distinct. *)
+let of_rows ~n adj_s =
+  if n < 0 then invalid_arg "Bipartite.of_rows";
+  let s = Array.length adj_s in
+  let dn = Array.make n 0 in
+  let m = ref 0 in
+  for u = 0 to s - 1 do
+    let row = adj_s.(u) in
+    let len = Array.length row in
+    let sorted = ref true in
+    for i = 0 to len - 1 do
+      let w = row.(i) in
+      if w < 0 || w >= n then invalid_arg "Bipartite.of_rows: endpoint out of range";
+      if i > 0 && row.(i - 1) >= w then sorted := false
+    done;
+    let row =
+      if !sorted then row
+      else begin
+        Array.sort Int.compare row;
+        let k = ref 1 in
+        for i = 1 to len - 1 do
+          if row.(i) <> row.(!k - 1) then begin
+            row.(!k) <- row.(i);
+            incr k
+          end
+        done;
+        if !k = len then row else Array.sub row 0 !k
+      end
+    in
+    adj_s.(u) <- row;
+    m := !m + Array.length row;
+    Array.iter (fun w -> dn.(w) <- dn.(w) + 1) row
+  done;
+  let adj_n = Array.map (fun d -> Array.make d 0) dn in
+  Array.fill dn 0 n 0;
+  for u = 0 to s - 1 do
+    Array.iter
+      (fun w ->
+        adj_n.(w).(dn.(w)) <- u;
+        dn.(w) <- dn.(w) + 1)
+      adj_s.(u)
+  done;
+  { s; n; m = !m; adj_s; adj_n }
+
 let of_edges ~s ~n edges =
   if s < 0 || n < 0 then invalid_arg "Bipartite.of_edges";
-  let seen = Hashtbl.create (2 * List.length edges) in
-  let ds = Array.make s 0 and dn = Array.make n 0 in
-  let clean =
-    List.filter
-      (fun (u, w) ->
-        if u < 0 || u >= s || w < 0 || w >= n then
-          invalid_arg "Bipartite.of_edges: endpoint out of range";
-        if Hashtbl.mem seen (u, w) then false
-        else begin
-          Hashtbl.add seen (u, w) ();
-          ds.(u) <- ds.(u) + 1;
-          dn.(w) <- dn.(w) + 1;
-          true
-        end)
-      edges
-  in
-  let adj_s = Array.init s (fun u -> Array.make ds.(u) 0) in
-  let adj_n = Array.init n (fun w -> Array.make dn.(w) 0) in
-  let fs = Array.make s 0 and fn = Array.make n 0 in
+  let ds = Array.make s 0 in
   List.iter
     (fun (u, w) ->
-      adj_s.(u).(fs.(u)) <- w;
-      fs.(u) <- fs.(u) + 1;
-      adj_n.(w).(fn.(w)) <- u;
-      fn.(w) <- fn.(w) + 1)
-    clean;
-  Array.iter (fun a -> Array.sort compare a) adj_s;
-  Array.iter (fun a -> Array.sort compare a) adj_n;
-  { s; n; m = List.length clean; adj_s; adj_n }
+      if u < 0 || u >= s || w < 0 || w >= n then
+        invalid_arg "Bipartite.of_edges: endpoint out of range";
+      ds.(u) <- ds.(u) + 1)
+    edges;
+  let rows = Array.map (fun d -> Array.make d 0) ds in
+  (* Fill each row from its end: edge lists are usually built by consing,
+     so this restores generation order, which is often already sorted. *)
+  List.iter
+    (fun (u, w) ->
+      ds.(u) <- ds.(u) - 1;
+      rows.(u).(ds.(u)) <- w)
+    edges;
+  of_rows ~n rows
 
 let s_count t = t.s
 let n_count t = t.n

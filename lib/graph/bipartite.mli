@@ -12,6 +12,15 @@ val of_edges : s:int -> n:int -> (int * int) list -> t
 (** [of_edges ~s ~n edges] where each [(u, w)] connects S-vertex [u] to
     N-vertex [w]. Duplicates collapsed; range errors raise. *)
 
+val of_rows : n:int -> int array array -> t
+(** [of_rows ~n adj] where [adj.(u)] lists the N-neighbours of S-vertex
+    [u] (so [|S| = Array.length adj]), in any order and with duplicates
+    allowed. Takes ownership of [adj] and its rows: unsorted rows are
+    sorted and deduplicated in place (or replaced). Rows that are already
+    strictly increasing cost one check each. Range errors raise
+    [Invalid_argument]. This is {!of_edges} without the edge list, for
+    constructions that produce their rows directly. *)
+
 val s_count : t -> int
 val n_count : t -> int
 val m : t -> int

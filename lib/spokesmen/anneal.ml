@@ -26,31 +26,35 @@ let solve ?steps ?(t0 = 2.0) ?cooling rng t =
   let uniq = ref 0 in
   Array.iter (fun c -> if c = 1 then incr uniq) cnt;
   let flip_gain u =
+    let nbrs = Bipartite.neighbors_s t u in
+    let acc = ref 0 in
     if Bitset.mem chosen u then
-      Array.fold_left
-        (fun acc w -> match cnt.(w) with 1 -> acc - 1 | 2 -> acc + 1 | _ -> acc)
-        0 (Bipartite.neighbors_s t u)
+      for i = 0 to Array.length nbrs - 1 do
+        match cnt.(nbrs.(i)) with 1 -> decr acc | 2 -> incr acc | _ -> ()
+      done
     else
-      Array.fold_left
-        (fun acc w -> match cnt.(w) with 0 -> acc + 1 | 1 -> acc - 1 | _ -> acc)
-        0 (Bipartite.neighbors_s t u)
+      for i = 0 to Array.length nbrs - 1 do
+        match cnt.(nbrs.(i)) with 0 -> incr acc | 1 -> decr acc | _ -> ()
+      done;
+    !acc
   in
   let apply_flip u =
+    let nbrs = Bipartite.neighbors_s t u in
     if Bitset.mem chosen u then begin
       Bitset.remove_inplace chosen u;
-      Array.iter
-        (fun w ->
-          (match cnt.(w) with 1 -> decr uniq | 2 -> incr uniq | _ -> ());
-          cnt.(w) <- cnt.(w) - 1)
-        (Bipartite.neighbors_s t u)
+      for i = 0 to Array.length nbrs - 1 do
+        let w = nbrs.(i) in
+        (match cnt.(w) with 1 -> decr uniq | 2 -> incr uniq | _ -> ());
+        cnt.(w) <- cnt.(w) - 1
+      done
     end
     else begin
       Bitset.add_inplace chosen u;
-      Array.iter
-        (fun w ->
-          (match cnt.(w) with 0 -> incr uniq | 1 -> decr uniq | _ -> ());
-          cnt.(w) <- cnt.(w) + 1)
-        (Bipartite.neighbors_s t u)
+      for i = 0 to Array.length nbrs - 1 do
+        let w = nbrs.(i) in
+        (match cnt.(w) with 0 -> incr uniq | 1 -> decr uniq | _ -> ());
+        cnt.(w) <- cnt.(w) + 1
+      done
     end
   in
   let best = ref !uniq in

@@ -1,4 +1,5 @@
 module Bitset = Wx_util.Bitset
+module Bucket_queue = Wx_util.Bucket_queue
 module Bipartite = Wx_graph.Bipartite
 module Metrics = Wx_obs.Metrics
 
@@ -22,6 +23,13 @@ let gain_of t ~n_tmp ~n_uni v =
     (Bipartite.neighbors_s t v);
   !nt - (2 * !nu)
 
+(* The gains are kept incrementally. An N-vertex changes class only when a
+   neighbour is promoted, and then only its S-neighbours' gains move:
+   Ntmp → Nuni takes 3 from each (−1 for leaving Ntmp, −2 for joining
+   Nuni), Nuni → Nmany gives the 2 back. S-vertices of Stmp with positive
+   gain sit in a bucket queue keyed by gain, whose [max_elt] is the
+   lowest-index vertex of maximum gain: the first maximum of a scan of
+   Stmp in index order. *)
 let run ?restrict_n t =
   let s = Bipartite.s_count t and n = Bipartite.n_count t in
   let n_tmp =
@@ -36,38 +44,50 @@ let run ?restrict_n t =
   let s_tmp = Bitset.full s in
   let s_uni = Bitset.create s in
   let n_uni = Bitset.create n and n_many = Bitset.create n in
+  let gain = Array.make s 0 in
+  let queue = Bucket_queue.create ~size:s ~max_key:(Bipartite.max_deg_s t) in
+  for v = 0 to s - 1 do
+    let nbrs = Bipartite.neighbors_s t v in
+    for i = 0 to Array.length nbrs - 1 do
+      if Bitset.mem n_tmp nbrs.(i) then gain.(v) <- gain.(v) + 1
+    done;
+    if gain.(v) > 0 then Bucket_queue.set queue v gain.(v)
+  done;
+  let shift w delta =
+    let xs = Bipartite.neighbors_n t w in
+    for i = 0 to Array.length xs - 1 do
+      let x = xs.(i) in
+      if Bitset.mem s_tmp x then begin
+        let g = gain.(x) + delta in
+        gain.(x) <- g;
+        if g > 0 then Bucket_queue.set queue x g else Bucket_queue.remove queue x
+      end
+    done
+  in
   let steps = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && not (Bitset.is_empty s_tmp) do
-    (* Pick v ∈ Stmp of maximum gain. *)
-    let best_v = ref (-1) and best_g = ref min_int in
-    Bitset.iter
-      (fun v ->
-        let g = gain_of t ~n_tmp ~n_uni v in
-        if g > !best_g then begin
-          best_g := g;
-          best_v := v
-        end)
-      s_tmp;
-    if !best_g <= 0 then continue_ := false
-    else begin
-      incr steps;
-      let v = !best_v in
-      Bitset.remove_inplace s_tmp v;
-      Bitset.add_inplace s_uni v;
-      Array.iter
-        (fun w ->
-          if Bitset.mem n_uni w then begin
-            (* Preserve (P1): w now has two Suni neighbors — demote. *)
-            Bitset.remove_inplace n_uni w;
-            Bitset.add_inplace n_many w
-          end
-          else if Bitset.mem n_tmp w then begin
-            Bitset.remove_inplace n_tmp w;
-            Bitset.add_inplace n_uni w
-          end)
-        (Bipartite.neighbors_s t v)
-    end
+  let v = ref (Bucket_queue.max_elt queue) in
+  while !v >= 0 do
+    incr steps;
+    let v' = !v in
+    Bucket_queue.remove queue v';
+    Bitset.remove_inplace s_tmp v';
+    Bitset.add_inplace s_uni v';
+    let nbrs = Bipartite.neighbors_s t v' in
+    for i = 0 to Array.length nbrs - 1 do
+      let w = nbrs.(i) in
+      if Bitset.mem n_uni w then begin
+        (* Preserve (P1): w now has two Suni neighbors — demote. *)
+        Bitset.remove_inplace n_uni w;
+        Bitset.add_inplace n_many w;
+        shift w 2
+      end
+      else if Bitset.mem n_tmp w then begin
+        Bitset.remove_inplace n_tmp w;
+        Bitset.add_inplace n_uni w;
+        shift w (-3)
+      end
+    done;
+    v := Bucket_queue.max_elt queue
   done;
   Metrics.incr m_runs;
   Metrics.add m_steps !steps;

@@ -25,14 +25,19 @@ baseline=bench/baseline.json
 # handling shares the registry the counted runs publish into, so a change
 # there can shift the instrumented-path cost the baseline certifies), and
 # the Rng and the Decay coin, whose draws set the radio and sampling
-# experiments' minor-word counts.
+# experiments' minor-word counts; and the Section-4 path (the bipartite
+# constructor, the core-graph and generalized-core builders, the spokesmen
+# solvers and their bucket queue), which sets the minor words of the
+# core-graph, generalized-core, spokesmen and appendix-ladder experiments.
 watched=(lib/expansion lib/util/combi.ml lib/util/combi.mli
          lib/util/bitset.ml lib/util/bitset.mli
          lib/util/guard.ml lib/util/guard.mli bench/*.ml
          lib/par lib/obs/work.ml lib/obs/work.mli lib/radio/sim.ml
          lib/graph/csr.ml lib/radio/sim_csr.ml lib/radio/network.ml
          lib/obs/expose.ml lib/util/rng.ml lib/util/rng.mli
-         lib/radio/decay_protocol.ml)
+         lib/radio/decay_protocol.ml
+         lib/graph/bipartite.ml lib/spokesmen lib/util/bucket_queue.ml
+         lib/constructions/core_graph.ml lib/constructions/gen_core.ml)
 
 if [ ! -f "$baseline" ]; then
   echo "error: $baseline missing" >&2

@@ -15,6 +15,7 @@ let () =
       ("measure", Test_measure.suite);
       ("bounds", Test_bounds.suite);
       ("spokesmen", Test_spokesmen.suite);
+      ("section4", Test_section4.suite);
       ("constructions", Test_constructions.suite);
       ("radio", Test_radio.suite);
       ("sim-csr", Test_sim_csr.suite);

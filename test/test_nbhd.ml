@@ -67,9 +67,10 @@ let test_bip_unique_full () =
 let test_gray_unique_matches_direct () =
   let elts = [| 0; 1; 2 |] in
   let count = ref 0 in
-  Nbhd.Bip.iter_gray_unique inst elts (fun s' c ->
+  Nbhd.Bip.iter_gray_unique inst elts (fun s' ~covered ~unique ->
       incr count;
-      check_int "gray vs direct" (Nbhd.Bip.unique_count inst s') c);
+      check_int "gray vs direct" (Nbhd.Bip.unique_count inst s') unique;
+      check_int "covered vs direct" (Bitset.cardinal (Nbhd.Bip.covered inst s')) covered);
   check_int "2^3 subsets" 8 !count
 
 let qcheck_tests =
@@ -83,9 +84,10 @@ let qcheck_tests =
           let elts = Array.init s (fun i -> i) in
           let seen = ref 0 in
           let ok = ref true in
-          Nbhd.Bip.iter_gray_unique t elts (fun s' c ->
+          Nbhd.Bip.iter_gray_unique t elts (fun s' ~covered ~unique ->
               incr seen;
-              if Nbhd.Bip.unique_count t s' <> c then ok := false);
+              if Nbhd.Bip.unique_count t s' <> unique then ok := false;
+              if Bitset.cardinal (Nbhd.Bip.covered t s') <> covered then ok := false);
           !ok && !seen = 1 lsl s
         end)
       arb;

@@ -23,6 +23,24 @@ let connected_arbitrary ~lo ~hi =
       let cycle_edges = List.init n (fun i -> (perm.(i), perm.((i + 1) mod n))) in
       return (Graph.of_edges n (Graph.edges base @ cycle_edges)))
 
+(* The instance QCHECK_SEED=408440942 drew for the old "greedy beats the
+   gamma/Delta bar" property (random_bipartite_sdeg seed 872800, s=8, n=5,
+   d=2). Every S-degree is 2, so the bar is 5/2; the greedy takes S-vertex
+   0 (covering N1 and N4), after which no vertex has positive gain, and it
+   stops at 2. The naive procedure meets the bar. *)
+let test_greedy_below_bar () =
+  let t =
+    Bipartite.of_edges ~s:8 ~n:5
+      [ (0, 1); (0, 4); (1, 1); (1, 2); (2, 0); (2, 1); (3, 1); (3, 4);
+        (4, 2); (4, 4); (5, 0); (5, 1); (6, 1); (6, 3); (7, 1); (7, 2) ]
+  in
+  let greedy = Wx_spokesmen.Greedy.solve t in
+  check_int "greedy covers 2" 2 greedy.Wx_spokesmen.Solver.covered;
+  check_true "greedy chose {0}" (Bitset.elements greedy.Wx_spokesmen.Solver.chosen = [ 0 ]);
+  let naive = Wx_spokesmen.Naive.run t in
+  check_true "naive meets 5/2"
+    (float_of_int (Bitset.cardinal naive.Wx_spokesmen.Naive.n_uni) >= 2.5)
+
 let suite =
   [
     (* Schedule synthesis completes and certifies on arbitrary connected
@@ -115,18 +133,17 @@ let suite =
           Bitset.equal newly expected
         end)
       (arbitrary_graph ~lo:2 ~hi:20);
-    (* Greedy solver never loses to the paper's naive procedure guarantee. *)
-    qcheck ~count:40 "greedy beats the gamma/Delta bar"
+    (* The γ/∆ bar is Lemma A.1's guarantee for the naive procedure,
+       asserted by the spokesmen suite's "naive guarantee γ/∆ (random)"
+       with this generator and ∆ = max S-degree. The greedy carries no
+       such guarantee (see the pinned case below). *)
+    (* What the greedy does meet: its first pick gains its full degree and
+       every later pick has positive gain, so it covers at least ∆_S. *)
+    qcheck ~count:100 "greedy covers the max S-degree"
       (fun t ->
-        if Bipartite.has_isolated t then true
-        else begin
-          let r = Wx_spokesmen.Greedy.solve t in
-          float_of_int r.Wx_spokesmen.Solver.covered
-          >= (float_of_int (Bipartite.n_count t)
-              /. float_of_int (max 1 (Bipartite.max_deg_s t)))
-             -. 1e-9
-        end)
+        (Wx_spokesmen.Greedy.solve t).Wx_spokesmen.Solver.covered >= Bipartite.max_deg_s t)
       (arbitrary_bipartite ~smax:12 ~nmax:16);
+    Alcotest.test_case "greedy below gamma/Delta (pinned)" `Quick test_greedy_below_bar;
     (* Core graph DP vs brute force at random power-of-two sizes. *)
     qcheck ~count:10 "core DP vs brute force (random sizes)"
       (fun b ->
